@@ -8,10 +8,10 @@ like?"; this subsystem answers "what happens to it over time?".
 * :mod:`repro.dynamics.churn` — failure/arrival processes (i.i.d. lifetimes,
   spatially correlated outage discs) and heterogeneous radio radii.
 * :mod:`repro.dynamics.incremental` — :class:`DynamicSpatialIndex`: point
-  moves/inserts/deletes answered without full rebuilds (dirty-cell patching
-  on the grid backend, a rebuild-threshold divergence buffer on the KD-tree
-  backend), byte-identical to a from-scratch ``build_index``; bulk queries
-  are vectorised straight off the patched structures.
+  moves/inserts/deletes answered without full rebuilds (a dirty-cell
+  patched grid), byte-identical to a from-scratch ``build_index`` on either
+  static backend; bulk queries are vectorised straight off the patched cell
+  map.
 * :mod:`repro.dynamics.topology` — per-timestep UDG/kNN edge *diffs*
   (:class:`TopologyTracker`; :class:`KnnTopologyTracker` bounds each
   update's affected set by the current kNN radii), so downstream metrics and

@@ -15,10 +15,9 @@ them into one kernel vocabulary:
   ``splice_edges``, ``incident_edge_keys``, ``splice_edge_keys``,
   ``step_events``).
 * :mod:`repro.kernels.dispatch` — the backend registry: ``numpy`` is the
-  zero-dependency default, ``reference`` the extracted scalar certificate
-  baseline, ``numba`` an optional compiled backend selected via the
-  ``REPRO_KERNEL_BACKEND`` environment variable or an explicit argument —
-  feature-detected, never required at import time.
+  zero-dependency default and ``reference`` the extracted scalar certificate
+  baseline, selected via the ``REPRO_KERNEL_BACKEND`` environment variable,
+  :func:`use_backend` or an explicit argument.
 * :mod:`repro.kernels.profile` — opt-in per-kernel call/ns/bytes counters
   behind an injected clock (the S06 benchmark's attribution source).
 
@@ -30,11 +29,10 @@ byte-identical against it (or carries a documented tolerance).
 from repro.kernels.dispatch import (
     KERNEL_NAMES,
     KernelBackend,
-    available_backend_names,
-    backend_available,
     default_backend_name,
     get_backend,
     register_backend,
+    registered_backend_names,
     set_backend,
     use_backend,
 )
@@ -54,11 +52,10 @@ from repro.kernels.profile import KernelProfiler, KernelStats, active_profiler, 
 __all__ = [
     "KERNEL_NAMES",
     "KernelBackend",
-    "available_backend_names",
-    "backend_available",
     "default_backend_name",
     "get_backend",
     "register_backend",
+    "registered_backend_names",
     "set_backend",
     "use_backend",
     "BufferSpec",

@@ -3,14 +3,14 @@
 Profiles the three hottest kernels of the stack — ``cell_gather`` (the grid
 index's bulk candidate expansion), ``within_ball_mask`` (the exact
 closed-ball predicate) and ``step_events`` (the event queue's stepping
-order) — on every *available* backend, using the
+order) — on every registered backend, using the
 :class:`~repro.kernels.profile.KernelProfiler` as the attribution source:
 timings come from the profiler's per-kernel nanosecond counters, not from
 timing whole queries.
 
 Two arms:
 
-* **Certificates** (deterministic): every available backend is replayed on
+* **Certificates** (deterministic): every registered backend is replayed on
   an adversarial workload — exact-boundary distances, radius-0 queries,
   subnormal offsets, tie-heavy event times — and its answers must be
   byte-identical to the ``reference`` backend (the extracted scalar loops).
@@ -18,9 +18,7 @@ Two arms:
   hard-asserts.
 * **Throughput** (wall-clock): each kernel is driven ``repeats`` times per
   backend at size ``n`` and the headline reports per-call nanoseconds plus
-  the speedup of every backend over ``reference``.  ``numba_best_speedup``
-  (present only when numba is importable) is the max over kernels of
-  numba-vs-numpy — the acceptance floor for the compiled backend.
+  the speedup of every backend over ``reference``.
 
 ``BENCH_S06.json`` tracks the trajectory: per-kernel per-backend headline
 rows, one record per (git revision, headline).
@@ -28,7 +26,7 @@ rows, one record per (git revision, headline).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -36,9 +34,9 @@ from repro.analysis.experiments import ExperimentResult
 from repro.kernels import (
     CellTable,
     KernelProfiler,
-    available_backend_names,
     cell_gather,
     profiled,
+    registered_backend_names,
     step_events,
     within_ball_mask,
 )
@@ -115,8 +113,7 @@ def experiment_s06_kernels(
     Parameters
     ----------
     n:
-        Operand size of the throughput arm (the numba acceptance floor is
-        stated at ``n >= 1e5``).
+        Operand size of the throughput arm.
     certificate_n:
         Operand size of the deterministic byte-identity arm (kept small:
         the reference loops are scalar Python).
@@ -128,7 +125,7 @@ def experiment_s06_kernels(
     """
     if n < 1 or certificate_n < 1 or repeats < 1:
         raise ValueError("n, certificate_n and repeats must be positive")
-    backends = list(available_backend_names())
+    backends = list(registered_backend_names())
     timed_backends = [b for b in backends if b != "reference"] + ["reference"]
 
     # -- certificate arm: every backend vs the extracted scalar loops ----------
@@ -140,7 +137,7 @@ def experiment_s06_kernels(
     workload = _workload(n, seed + 1)
     ns_per_call: Dict[str, Dict[str, float]] = {}
     for backend in timed_backends:
-        _run_all(backend, *workload)  # warm up (JIT compile, caches)
+        _run_all(backend, *workload)  # warm up (caches)
         prof = KernelProfiler()
         with profiled(prof):
             for _ in range(repeats):
@@ -171,14 +168,6 @@ def experiment_s06_kernels(
                 }
             )
 
-    numba_best: Optional[float] = None
-    if "numba" in ns_per_call:
-        numba_best = max(
-            round(ns_per_call["numpy"][k] / ns_per_call["numba"][k], 2)
-            for k in PROFILED_KERNELS
-            if ns_per_call["numba"][k] > 0
-        )
-
     headline: Dict = {"certificates_ok": certificates_ok, "backends": ",".join(backends)}
     for kernel in PROFILED_KERNELS:
         reference_ns = ns_per_call["reference"][kernel]
@@ -189,7 +178,6 @@ def experiment_s06_kernels(
             headline[f"speedup_{kernel}_{backend}"] = (
                 round(reference_ns / ns, 2) if ns > 0 else None
             )
-    headline["numba_best_speedup"] = numba_best
 
     return ExperimentResult(
         experiment_id="S06",

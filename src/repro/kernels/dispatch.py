@@ -1,4 +1,4 @@
-"""Kernel backend registry: numpy by default, compiled variants by request.
+"""Kernel backend registry: numpy by default, the scalar reference by request.
 
 This is the same path-dispatch discipline the store (JSONL vs SQLite) and
 the spatial index (grid vs kdtree) use, applied to the compute kernels:
@@ -8,10 +8,10 @@ the spatial index (grid vs kdtree) use, applied to the compute kernels:
 * ``reference`` — the extracted scalar loops the numpy kernels were hoisted
   from.  Slow on purpose: it is the byte-identity certificate baseline the
   property suites compare every other backend against.
-* ``numba`` — optional JIT-compiled inner loops.  Feature-detected, never
-  imported at module import time; requesting it without numba installed
-  raises with an actionable message.  A backend may implement only the
-  kernels it accelerates — missing entries fall back to numpy.
+
+Further backends register through :func:`register_backend`; one may
+implement only the kernels it accelerates — missing entries fall back to
+numpy.
 
 Selection order: an explicit ``backend=`` argument on any kernel call, else
 the process override installed by :func:`set_backend` / :func:`use_backend`,
@@ -20,7 +20,6 @@ else the ``REPRO_KERNEL_BACKEND`` environment variable, else ``numpy``.
 
 from __future__ import annotations
 
-import importlib.util
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -31,8 +30,6 @@ __all__ = [
     "KernelBackend",
     "register_backend",
     "registered_backend_names",
-    "available_backend_names",
-    "backend_available",
     "default_backend_name",
     "get_backend",
     "set_backend",
@@ -73,47 +70,20 @@ class KernelBackend:
 
 
 _FACTORIES: Dict[str, Callable[[], KernelBackend]] = {}
-_AVAILABILITY: Dict[str, Callable[[], bool]] = {}
 _INSTANCES: Dict[str, KernelBackend] = {}
 _OVERRIDE: Optional[str] = None
 
 
-def register_backend(
-    name: str,
-    factory: Callable[[], KernelBackend],
-    *,
-    available: Optional[Callable[[], bool]] = None,
-) -> None:
-    """Register a backend factory under ``name``.
-
-    ``available`` is an optional cheap probe (e.g. ``find_spec``) used by
-    :func:`available_backend_names` without paying the factory's import
-    cost; backends without one are assumed importable.
-    """
+def register_backend(name: str, factory: Callable[[], KernelBackend]) -> None:
+    """Register a backend factory under ``name`` (instantiated on first use)."""
     _FACTORIES[name] = factory
-    if available is not None:
-        _AVAILABILITY[name] = available
     _INSTANCES.pop(name, None)
 
 
 def registered_backend_names() -> Tuple[str, ...]:
+    """Every registered backend name, sorted."""
     _ensure_builtin()
     return tuple(sorted(_FACTORIES))
-
-
-def backend_available(name: str) -> bool:
-    """Whether ``name`` is registered and its dependencies are importable."""
-    _ensure_builtin()
-    if name not in _FACTORIES:
-        return False
-    probe = _AVAILABILITY.get(name)
-    return True if probe is None else bool(probe())
-
-
-def available_backend_names() -> Tuple[str, ...]:
-    """Registered backends whose dependencies are importable, sorted."""
-    _ensure_builtin()
-    return tuple(n for n in sorted(_FACTORIES) if backend_available(n))
 
 
 def default_backend_name() -> str:
@@ -186,16 +156,6 @@ def use_backend(name: str) -> Iterator[KernelBackend]:
         _OVERRIDE = previous
 
 
-def _numba_importable() -> bool:
-    return importlib.util.find_spec("numba") is not None
-
-
-def _numba_factory() -> KernelBackend:
-    from repro.kernels import _numba_impls
-
-    return _numba_impls.make_backend()
-
-
 _BUILTIN_WIRED = False
 
 
@@ -203,14 +163,10 @@ def _ensure_builtin() -> None:
     """Wire the built-in backends on first registry access.
 
     The numpy/reference implementations live in :mod:`repro.kernels.ops`
-    (imported lazily here to keep the module graph acyclic); numba is
-    registered as a factory that only imports numba when actually selected.
+    (imported lazily here to keep the module graph acyclic).
     """
     global _BUILTIN_WIRED
     if _BUILTIN_WIRED:
         return
     _BUILTIN_WIRED = True
     from repro.kernels import ops  # noqa: F401  (registers numpy + reference)
-
-    if "numba" not in _FACTORIES:
-        register_backend("numba", _numba_factory, available=_numba_importable)

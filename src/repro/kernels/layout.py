@@ -20,7 +20,7 @@ is the single place those buffer shapes are written down:
   boundary diff) underneath the cell table and the shard worker's tile and
   region classification.
 
-Everything in this package is importable without scipy, numba, or any other
+Everything in this package is importable without scipy or any other
 optional dependency — consumers below (geometry, simulation) depend on
 kernels, never the other way around.
 """

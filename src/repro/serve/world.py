@@ -49,10 +49,12 @@ _EMPTY_IDS = np.zeros(0, dtype=np.int64)
 class WorldConfig:
     """The served deployment's fixed parameters.
 
-    ``radius`` is the UDG connection radius (default: the tile spec's);
-    ``backend`` selects the dynamic index implementation; the window bounds
-    define the overlay tiling.  The config travels inside snapshots so a
-    restore cannot silently change the world's geometry.
+    ``radius`` is the UDG connection radius (default: the tile spec's); the
+    window bounds define the overlay tiling.  The config travels inside
+    snapshots so a restore cannot silently change the world's geometry.
+    ``backend`` is kept only as a snapshot field: the live index is always
+    the patched grid, so ``"grid"`` is the one accepted value and snapshot
+    bytes (hence digests) keep their shape.
     """
 
     window_xmin: float = 0.0
@@ -61,6 +63,13 @@ class WorldConfig:
     window_ymax: float = 15.0
     radius: Optional[float] = None
     backend: str = "grid"
+
+    def __post_init__(self) -> None:
+        if self.backend != "grid":
+            raise ValueError(
+                f"world backend {self.backend!r} is not supported: the dynamic "
+                "k-d tree index was removed and live worlds always run the 'grid' index"
+            )
 
     @property
     def window(self) -> Rect:
@@ -135,7 +144,7 @@ class LiveWorld:
     positions:
         Initial ``(n, 2)`` deployment; node ids are the row indices.
     config:
-        Window, radius and backend (see :class:`WorldConfig`).
+        Window and radius (see :class:`WorldConfig`).
     applied_seq:
         The event sequence number already reflected in ``positions`` (used
         by :meth:`from_state`; fresh worlds start at 0).
@@ -151,9 +160,7 @@ class LiveWorld:
         self.config = config
         self.spec = UDGTileSpec.default()
         self.applied_seq = int(applied_seq)
-        self.index = DynamicSpatialIndex(
-            pts, radius=config.udg_radius, backend=config.backend
-        )
+        self.index = DynamicSpatialIndex(pts, radius=config.udg_radius)
         self.tracker = TopologyTracker(self.index, config.udg_radius)
         self.engine = DistributedRepairEngine(self.index, self.spec, config.window)
         self._route_cache_seq = -1
@@ -295,9 +302,7 @@ class LiveWorld:
         if self.n_alive == 0:
             return 0.0
         return float(
-            coverage_fraction(
-                self.index.positions(), events, sensing_radius, backend=self.config.backend
-            )
+            coverage_fraction(self.index.positions(), events, sensing_radius, backend="grid")
         )
 
     # -- canonical state / byte-identity ------------------------------------
@@ -333,9 +338,7 @@ class LiveWorld:
         world.config = config
         world.spec = UDGTileSpec.default()
         world.applied_seq = int(state["seq"])
-        world.index = DynamicSpatialIndex(
-            pts, radius=config.udg_radius, backend=config.backend
-        )
+        world.index = DynamicSpatialIndex(pts, radius=config.udg_radius)
         dead = np.setdiff1d(np.arange(n_rows, dtype=np.int64), alive, assume_unique=True)
         if len(dead):
             world.index.delete(dead)

@@ -27,13 +27,14 @@ def _apply(diff: EdgeDiff, edges: set) -> set:
 
 
 class TestTopologyTracker:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_diffs_replay_to_full_recompute(self, backend, rng):
+    @pytest.mark.parametrize("oracle", BACKENDS)
+    def test_diffs_replay_to_full_recompute(self, oracle, rng):
+        # The recompute runs on each static backend (grid or cKDTree).
         pts = rng.uniform(0, 8, size=(80, 2))
-        dyn = DynamicSpatialIndex(pts, radius=RADIUS, backend=backend)
+        dyn = DynamicSpatialIndex(pts, radius=RADIUS)
         tracker = TopologyTracker(dyn, RADIUS)
         replayed = _edge_set(tracker.edges())
-        assert replayed == _edge_set(udg_edges(pts, RADIUS))
+        assert replayed == _edge_set(udg_edges(pts, RADIUS, backend=oracle))
         for step in range(10):
             ids = dyn.ids()
             movers = rng.choice(ids, size=min(15, len(ids)), replace=False)
@@ -51,7 +52,8 @@ class TestTopologyTracker:
             assert tracker.matches_recompute()
             ids = dyn.ids()
             expected = {
-                (int(ids[a]), int(ids[b])) for a, b in udg_edges(dyn.positions(), RADIUS)
+                (int(ids[a]), int(ids[b]))
+                for a, b in udg_edges(dyn.positions(), RADIUS, backend=oracle)
             }
             assert replayed == expected
 

@@ -4,10 +4,8 @@ Every backend must answer byte-identically to the extracted scalar
 ``reference`` loops — the certificate discipline of ``matches_rebuild()``
 applied to the kernel layer.  The inputs deliberately replay the spatial
 suite's worst cases: exact-boundary pairs, radius 0, subnormal offsets, and
-chunk seams.  The ``numba`` parametrisation skips cleanly where numba is
-absent; the *source* forms of its loops (plain Python, un-jitted) run
-everywhere, so the compiled backend's logic is exercised even without the
-compiler (see ``test_numba_sources.py``).
+chunk seams.  Every registered backend other than ``reference`` itself is
+parametrised in.
 """
 
 import numpy as np
@@ -17,12 +15,12 @@ from hypothesis import strategies as st
 
 from repro.kernels import (
     CellTable,
-    backend_available,
     cell_gather,
     count_in_balls,
     get_backend,
     incident_edge_keys,
     pair_candidates,
+    registered_backend_names,
     splice_edge_keys,
     splice_edges,
     step_events,
@@ -30,12 +28,7 @@ from repro.kernels import (
 )
 from repro.kernels.layout import pack_bounds, pack_keys
 
-BACKENDS = pytest.param("numpy"), pytest.param(
-    "numba",
-    marks=pytest.mark.skipif(
-        not backend_available("numba"), reason="numba not installed"
-    ),
-)
+BACKENDS = [name for name in registered_backend_names() if name != "reference"]
 
 #: The PR 2 exact-quotient pair: radius / cell_size computes to exactly 3.0
 #: while the true quotient is just above it.
@@ -373,8 +366,8 @@ class TestChunkSeams:
 
 
 def test_every_backend_answers_full_vocabulary():
-    from repro.kernels import KERNEL_NAMES, available_backend_names
+    from repro.kernels import KERNEL_NAMES
 
-    for name in available_backend_names():
+    for name in registered_backend_names():
         backend = get_backend(name)
         assert set(backend.kernels) == set(KERNEL_NAMES)

@@ -15,15 +15,10 @@ from repro.distributed import DistributedRepairEngine
 from repro.dynamics.incremental import DynamicSpatialIndex
 from repro.geometry.index import GridIndex, KDTreeIndex
 from repro.geometry.primitives import Rect
-from repro.kernels import backend_available, use_backend
+from repro.kernels import registered_backend_names, use_backend
 from repro.simulation.events import EventQueue
 
-BACKENDS = ["numpy", pytest.param(
-    "numba",
-    marks=pytest.mark.skipif(
-        not backend_available("numba"), reason="numba not installed"
-    ),
-)]
+BACKENDS = [name for name in registered_backend_names() if name != "reference"]
 
 
 def _reference(fn):

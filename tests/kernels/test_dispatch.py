@@ -8,8 +8,6 @@ from repro.kernels.dispatch import (
     ENV_VAR,
     KERNEL_NAMES,
     KernelBackend,
-    available_backend_names,
-    backend_available,
     default_backend_name,
     get_backend,
     register_backend,
@@ -30,7 +28,6 @@ def _clean_registry_state(monkeypatch):
     dispatch._OVERRIDE = saved_override
     for name in set(dispatch._FACTORIES) - before:
         dispatch._FACTORIES.pop(name, None)
-        dispatch._AVAILABILITY.pop(name, None)
         dispatch._INSTANCES.pop(name, None)
 
 
@@ -79,10 +76,7 @@ class TestSelectionOrder:
 
 class TestRegistry:
     def test_builtins_registered(self):
-        names = registered_backend_names()
-        assert "numpy" in names and "reference" in names and "numba" in names
-        assert "numpy" in available_backend_names()
-        assert "reference" in available_backend_names()
+        assert registered_backend_names() == ("numpy", "reference")
 
     def test_unknown_backend_error_lists_registered(self):
         with pytest.raises(ValueError, match="registered:"):
@@ -117,18 +111,6 @@ class TestRegistry:
         with pytest.raises(ImportError, match=ENV_VAR):
             get_backend("broken-test")
 
-    def test_availability_probe_consulted_without_import(self):
-        def factory():  # pragma: no cover - must never run
-            raise AssertionError("factory imported during availability probe")
-
-        register_backend("probed-test", factory, available=lambda: False)
-        assert not backend_available("probed-test")
-        assert "probed-test" not in available_backend_names()
-        assert "probed-test" in registered_backend_names()
-
-    def test_backend_available_unknown_name(self):
-        assert not backend_available("never-registered")
-
     def test_instances_cached(self):
         assert get_backend("numpy") is get_backend("numpy")
 
@@ -136,18 +118,3 @@ class TestRegistry:
         backend = get_backend("numpy")
         assert get_backend(backend) is backend
 
-
-class TestNumbaGating:
-    def test_numba_matches_importability(self):
-        import importlib.util
-
-        assert backend_available("numba") == (
-            importlib.util.find_spec("numba") is not None
-        )
-
-    @pytest.mark.skipif(
-        backend_available("numba"), reason="numba installed; gate not exercised"
-    )
-    def test_selecting_numba_without_numba_raises(self):
-        with pytest.raises(ImportError, match="numba"):
-            get_backend("numba")

@@ -29,7 +29,7 @@ def deployment(rng):
 
 
 def test_repair_engine_empty_update_is_noop(deployment):
-    index = DynamicSpatialIndex(deployment, radius=1.0, backend="grid")
+    index = DynamicSpatialIndex(deployment, radius=1.0)
     engine = DistributedRepairEngine(index, UDGTileSpec.default(), Rect(0, 0, 12, 12))
     messages = engine.stats.messages_sent
     rounds = engine.stats.rounds
@@ -50,7 +50,7 @@ def test_repair_engine_empty_update_is_noop(deployment):
 
 
 def test_knn_tracker_empty_update_is_noop(deployment):
-    index = DynamicSpatialIndex(deployment, radius=1.0, backend="grid")
+    index = DynamicSpatialIndex(deployment, radius=1.0)
     tracker = KnnTopologyTracker(index, k=3)
     edges_before = tracker.edges().copy()
     repaired = tracker.repaired_nodes
@@ -67,7 +67,7 @@ def test_knn_tracker_empty_update_is_noop(deployment):
 
 def test_knn_tracker_shares_consumed_stream_with_engine(deployment):
     """The M02 shared-stream pattern now composes with the kNN flavour too."""
-    index = DynamicSpatialIndex(deployment, radius=1.0, backend="grid")
+    index = DynamicSpatialIndex(deployment, radius=1.0)
     tracker = KnnTopologyTracker(index, k=3)
     engine = DistributedRepairEngine(index, UDGTileSpec.default(), Rect(0, 0, 12, 12))
 
@@ -80,7 +80,7 @@ def test_knn_tracker_shares_consumed_stream_with_engine(deployment):
 
 
 def test_knn_tracker_rejects_half_a_stream(deployment):
-    index = DynamicSpatialIndex(deployment, radius=1.0, backend="grid")
+    index = DynamicSpatialIndex(deployment, radius=1.0)
     tracker = KnnTopologyTracker(index, k=3)
     with pytest.raises(ValueError, match="both dirty and deleted"):
         tracker.update(dirty=_EMPTY)
@@ -89,7 +89,7 @@ def test_knn_tracker_rejects_half_a_stream(deployment):
 
 
 def test_udg_tracker_empty_explicit_pair_is_noop(deployment):
-    index = DynamicSpatialIndex(deployment, radius=1.0, backend="grid")
+    index = DynamicSpatialIndex(deployment, radius=1.0)
     tracker = TopologyTracker(index, radius=1.0)
     edges_before = tracker.edges().copy()
     diff = tracker.update(dirty=_EMPTY, deleted=_EMPTY)

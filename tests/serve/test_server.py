@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import warnings
 
 import pytest
 
@@ -38,6 +39,23 @@ class TestHandleRequest:
         session.handle_line('{"op": "insert", "position": [2, 2], "id": "x"}')
         ((_, reply),) = session.flush()
         assert json.loads(reply)["node"] == 60
+
+    def test_coverage_radius_far_above_udg_radius_answers_promptly(self, session):
+        # The sensing radius comes from the client unchecked; one far above
+        # the UDG radius must still be a single bounded query, not a scan
+        # whose cost grows with radius / cell size.
+        line = '{"op": "query", "kind": "coverage", "events": [[1, 1]], "radius": 1e300}'
+        payload = json.loads(session.handle_line(line).immediate)
+        assert payload == {"ok": True, "coverage": 1.0, "applied_seq": 0}
+
+    @pytest.mark.parametrize("radius", ["Infinity", "-Infinity", "0"])
+    def test_coverage_bad_radius_is_an_error_reply(self, session, radius):
+        line = '{"op": "query", "kind": "coverage", "events": [[1, 1]], "radius": %s}' % radius
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            payload = json.loads(session.handle_line(line).immediate)
+        assert payload["ok"] is False
+        assert payload["error"].startswith("bad query")
 
     def test_backpressure_reply_carries_retry_after(self, rng):
         positions = rng.uniform(0.0, 15.0, size=(10, 2))

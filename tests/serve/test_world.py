@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.geometry.index import BACKENDS
 from repro.serve.batching import TickBatcher, coalesce_events
 from repro.serve.protocol import Request
 from repro.serve.world import LiveWorld, WorldConfig
+from repro.simulation.sensing import coverage_fraction
 
 
 @pytest.fixture
@@ -132,6 +134,40 @@ class TestQueries:
         assert world.coverage(events, sensing_radius=0.5) == 1.0
         assert world.coverage(np.array([[100.0, 100.0]]), sensing_radius=0.5) == 0.0
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_coverage_matches_static_coverage_fraction(self, rng, backend):
+        # Lattice positions make events exactly r away from a node; the world
+        # is dirtied first so the alive set differs from the initial one.
+        positions = np.round(rng.uniform(0.0, 15.0, size=(300, 2)) * 4) / 4
+        world = LiveWorld(positions, WorldConfig())
+        _apply(
+            world,
+            TickBatcher(),
+            [Request(op="move", node=i, position=(float(i % 15), 7.5)) for i in range(20)]
+            + [Request(op="delete", node=i) for i in range(20, 30)]
+            + [Request(op="insert", position=(0.25, 14.75))],
+        )
+        alive = world.index.positions()
+        for radius in (0.05, 0.5, 1.3, 3.0):
+            exact = alive[:40] + np.array([radius, 0.0])
+            diagonal = alive[40:80] + np.array([0.3, 0.4]) * (radius / 0.5)
+            random = rng.uniform(-1.0, 16.0, size=(64, 2))
+            for events in (exact, diagonal, random):
+                assert world.coverage(events, radius) == coverage_fraction(
+                    alive, events, radius, backend=backend
+                )
+
+    def test_coverage_edge_cases(self, world):
+        for radius in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                world.coverage(np.array([[1.0, 1.0]]), radius)
+        assert world.coverage(np.zeros((0, 2)), 0.5) == 1.0
+        # An empty deployment covers nothing, checked before anything else.
+        empty = LiveWorld(np.zeros((0, 2)), WorldConfig())
+        assert empty.coverage(np.array([[1.0, 1.0]]), 0.5) == 0.0
+        assert empty.coverage(np.zeros((0, 2)), 0.5) == 0.0
+        assert empty.coverage(np.array([[1.0, 1.0]]), 0.0) == 0.0
+
 
 class TestStateRoundTrip:
     def test_digest_identical_after_restore(self, world):
@@ -162,9 +198,33 @@ class TestStateRoundTrip:
         with pytest.raises(ValueError, match="version"):
             LiveWorld.from_state(state)
 
-    def test_kdtree_backend_round_trips(self, rng):
-        positions = rng.uniform(0.0, 15.0, size=(40, 2))
-        world = LiveWorld(positions, WorldConfig(backend="kdtree"))
-        clone = LiveWorld.from_state(world.state())
-        assert clone.config.backend == "kdtree"
-        assert clone.digest() == world.digest()
+    def test_kdtree_backend_is_rejected(self, world):
+        # Live worlds run only the grid index, so a "kdtree" config — fresh or
+        # from an old snapshot — must fail loudly, not silently run the grid.
+        with pytest.raises(ValueError, match="kdtree"):
+            WorldConfig(backend="kdtree")
+        state = world.state()
+        assert state["config"]["backend"] == "grid"
+        state["config"]["backend"] = "kdtree"
+        with pytest.raises(ValueError, match="kdtree"):
+            LiveWorld.from_state(state)
+
+    def test_digest_pinned(self):
+        # A fixed seeded world after four ticks: the hex digest was computed
+        # before the dynamic index became grid-only, so snapshot and digest
+        # bytes are pinned across that change.
+        rng = np.random.default_rng(20140)
+        world = LiveWorld(rng.uniform(0.0, 15.0, size=(300, 2)), WorldConfig())
+        batcher = TickBatcher()
+        for _ in range(4):
+            requests = [
+                Request(op="move", node=int(node), position=tuple(rng.uniform(0.0, 15.0, size=2)))
+                for node in rng.choice(world.index.ids(), size=20, replace=False)
+            ]
+            requests.append(Request(op="delete", node=int(world.index.ids()[-1])))
+            requests.append(Request(op="insert", position=tuple(rng.uniform(0.0, 15.0, size=2))))
+            _apply(world, batcher, requests)
+        assert (world.applied_seq, world.n_alive) == (88, 300)
+        expected = "fc4cf09433d2aa63f3665ba5595db08a599a06cc5aaa82f1e8938479fd6312bf"
+        assert world.digest() == expected
+        assert LiveWorld.from_state(world.state()).digest() == expected
