@@ -16,10 +16,14 @@ from __future__ import annotations
 
 import datetime
 import json
+import os
 import pathlib
+import platform
 import subprocess
 
+import numpy as np
 import pytest
+import scipy
 
 from repro.analysis.experiments import ExperimentResult
 from repro.analysis.tables import format_table
@@ -32,18 +36,31 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 STORE_DIR = RESULTS_DIR / "store"
 
 
-def _git_rev() -> str:
-    try:
+def _git_rev(root: pathlib.Path = REPO_ROOT) -> str:
+    """Short HEAD revision, suffixed ``-dirty`` when tracked files differ.
+
+    A run on uncommitted code must not be filed under its parent commit.
+    The BENCH_*.json trajectory files themselves are left out of the check:
+    the first benchmark of a session appends to them, which must not mark
+    the rest of the session dirty.
+    """
+
+    def git(*args: str) -> str:
         proc = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            cwd=REPO_ROOT,
-            timeout=10,
+            ["git", *args], capture_output=True, text=True, cwd=root, timeout=10
+        )
+        return proc.stdout.strip()
+
+    try:
+        rev = git("rev-parse", "--short", "HEAD")
+        changes = git(
+            "status", "--porcelain", "--untracked-files=no", "--", ".", ":(exclude)BENCH_*.json"
         )
     except OSError:
         return "unknown"
-    return proc.stdout.strip() or "unknown"
+    if not rev:
+        return "unknown"
+    return f"{rev}-dirty" if changes else rev
 
 
 def _append_trajectory(result: ExperimentResult) -> None:
@@ -56,10 +73,11 @@ def _append_trajectory(result: ExperimentResult) -> None:
     match an existing entry are not re-appended, so reruns at one commit
     stay no-ops.
 
-    Every record carries the kernel backend that served the run and the
-    position dtype, so trajectory numbers measured under different compute
-    configurations are never compared as if they were the same machine
-    state.  (Records from before the kernel layer carry ``null`` for both.)
+    Every record carries the kernel backend that served the run, the
+    position dtype, the python/numpy/scipy versions and the CPU count, so
+    trajectory numbers measured under different compute configurations are
+    never compared as if they were the same machine state.  (Older records
+    lack the later fields or carry ``null`` for them.)
     """
     if not result.experiment_id.startswith("S"):
         return
@@ -72,6 +90,10 @@ def _append_trajectory(result: ExperimentResult) -> None:
         ),
         "kernel_backend": default_backend_name(),
         "dtype": str(POSITIONS.dtype),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
         "headline": result.headline,
         "git_rev": _git_rev(),
         # Provenance stamp on a measurement record, not simulation state.

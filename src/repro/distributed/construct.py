@@ -246,7 +246,6 @@ def distributed_build(
     window: Rect,
     k: int | None = None,
     radio_range: float | None = None,
-    index_backend: str = "grid",
 ) -> DistributedBuildResult:
     """Run the Figure-7 algorithm on a deployment and return the built overlay.
 
@@ -265,16 +264,12 @@ def distributed_build(
         radius for UDG specs and to unlimited for NN specs (NN links are not
         distance-bounded); pass an explicit value to tighten the locality
         check.
-    index_backend:
-        Spatial-index backend used by the network to precompute the one-hop
-        neighbour table (the distributed-build hot path); see
-        :func:`repro.geometry.index.build_index`.
     """
     pts = as_points(points)
     tiling = Tiling(window=window, tile_side=spec.tile_side)
     if radio_range is None:
         radio_range = getattr(spec, "connection_radius", None)
-    network = MessageNetwork(pts, radio_range=radio_range, index_backend=index_backend)
+    network = MessageNetwork(pts, radio_range=radio_range)
 
     # -- Steps 1 & 2: local tile + region identification --------------------------
     tiles = tiling.tile_of_points(pts)

@@ -41,23 +41,30 @@ __all__ = [
 
 
 # -- neighbour-table cache ----------------------------------------------------
-#: (id(points), radius, backend) → (weakref to the points array, table).  The
+#: (id(points), radius) → (weakref to the points array, table).  The
 #: table is the expensive precompute of repeated ``distributed_build`` calls
 #: on the same deployment; keying on array *identity* (not content) keeps the
 #: lookup O(1), and the weakref both drops entries when the deployment dies
 #: and guards against CPython reusing the id of a collected array.
-_NEIGHBOUR_CACHE: Dict[Tuple[int, float, str], Tuple[weakref.ref, List[np.ndarray]]] = {}
+_NEIGHBOUR_CACHE: Dict[Tuple[int, float], Tuple[weakref.ref, List[np.ndarray]]] = {}
 
 
-def _cached_neighbour_table(
-    points: np.ndarray, radius: float, backend: str
-) -> List[np.ndarray]:
-    key = (id(points), float(radius), backend)
+def _neighbour_table(points: np.ndarray, radius: float) -> List[np.ndarray]:
+    """One-hop neighbour lists via one bulk query on a grid index.
+
+    The grid is fixed by measurement: its ``neighbour_lists`` beat the k-d
+    tree's by 1.2–2.5× on Poisson inputs at λ = 1.44, 3 and 20 (S01 tracks
+    the same comparison, and that the two return identical lists).
+    """
+    return build_index(points, radius=radius, backend="grid").neighbour_lists(radius)
+
+
+def _cached_neighbour_table(points: np.ndarray, radius: float) -> List[np.ndarray]:
+    key = (id(points), float(radius))
     entry = _NEIGHBOUR_CACHE.get(key)
     if entry is not None and entry[0]() is points:
         return entry[1]
-    index = build_index(points, radius=radius, backend=backend)
-    table = index.neighbour_lists(radius)
+    table = _neighbour_table(points, radius)
     try:
         ref = weakref.ref(points, lambda _: _NEIGHBOUR_CACHE.pop(key, None))
     except TypeError:  # non-weakrefable array subclass: just don't cache
@@ -119,9 +126,6 @@ class MessageNetwork:
     radio_range:
         Maximum distance over which a message can be sent.  ``None`` disables
         the check (useful for unit tests of upper layers).
-    index_backend:
-        Spatial-index backend (:func:`repro.geometry.index.build_index`) used
-        to precompute the one-hop neighbour table.
     use_cache:
         Reuse the neighbour table across networks built over the *same*
         positions array object and radio range (repeated
@@ -143,13 +147,11 @@ class MessageNetwork:
         self,
         points: np.ndarray,
         radio_range: float | None = None,
-        index_backend: str = "grid",
         use_cache: bool = True,
         injector: Optional[FaultInjector] = None,
     ) -> None:
         self.points = as_points(points)
         self.radio_range = radio_range
-        self.index_backend = index_backend
         self.stats = NetworkStats()
         self.injector = injector
         self._outbox: List[Message] = []
@@ -158,12 +160,9 @@ class MessageNetwork:
         self._neighbours: Optional[List[np.ndarray]] = None
         if radio_range is not None and len(self.points):
             if use_cache:
-                self._neighbours = _cached_neighbour_table(
-                    self.points, radio_range, index_backend
-                )
+                self._neighbours = _cached_neighbour_table(self.points, radio_range)
             else:
-                index = build_index(self.points, radius=radio_range, backend=index_backend)
-                self._neighbours = index.neighbour_lists(radio_range)
+                self._neighbours = _neighbour_table(self.points, radio_range)
 
     @property
     def n_nodes(self) -> int:

@@ -47,9 +47,9 @@ from typing import Dict, List, Set, Tuple
 import numpy as np
 
 from repro.dynamics.incremental import DynamicSpatialIndex
-from repro.geometry.index import build_index
+from repro.geometry.index import KDTreeIndex
 from repro.graphs.base import GeometricGraph
-from repro.graphs.knn import _knn_cell_size, knn_edges, knn_neighbour_indices
+from repro.graphs.knn import knn_edges, knn_neighbour_indices
 from repro.kernels import ops as kernel_ops
 
 __all__ = ["EdgeDiff", "TopologyTracker", "KnnTopologyTracker"]
@@ -139,7 +139,7 @@ class TopologyTracker:
     """
 
     def __init__(self, index: DynamicSpatialIndex, radius: float) -> None:
-        if radius < 0:
+        if not radius >= 0:  # also rejects NaN
             raise ValueError("radius must be non-negative")
         self.index = index
         self.radius = float(radius)
@@ -302,7 +302,7 @@ class KnnTopologyTracker:
     of the alive nodes (e.g. all-nodes mobility — the locality machinery
     would visit everything anyway), and steps that change the effective
     ``k`` (arrivals/failures around ``n = k + 1``, where every list changes
-    length).  Exact distance ties keep the backend's own tie order, as for
+    length).  Exact distance ties keep the k-d tree's own tie order, as for
     the static builder — a measure-zero divergence for continuous inputs.
     """
 
@@ -310,7 +310,6 @@ class KnnTopologyTracker:
         self,
         index: DynamicSpatialIndex,
         k: int,
-        backend: str = "kdtree",
         recompute_fraction: float = 0.25,
     ) -> None:
         if k < 1:
@@ -319,7 +318,6 @@ class KnnTopologyTracker:
             raise ValueError("recompute_fraction must be positive")
         self.index = index
         self.k = int(k)
-        self.backend = backend
         self.recompute_fraction = float(recompute_fraction)
         #: Nodes whose directed lists were repaired / full recompute count.
         self.repaired_nodes = 0
@@ -349,7 +347,7 @@ class KnnTopologyTracker:
                 self._lists[node] = _EMPTY_KEYS.copy()
                 self._kdist[node] = 0.0
             return _EMPTY_KEYS.copy()
-        rows = knn_neighbour_indices(positions, self.k, backend=self.backend)
+        rows = knn_neighbour_indices(positions, self.k)
         for i, node in enumerate(ids.tolist()):
             row = rows[i]
             row = row[row >= 0]
@@ -411,10 +409,7 @@ class KnnTopologyTracker:
         aff = np.fromiter(sorted(affected), dtype=np.int64, count=len(affected))
         positions = self.index.positions()
         rows = np.searchsorted(ids, aff)
-        static = build_index(
-            positions, backend=self.backend, cell_size=_knn_cell_size(positions, k_eff)
-        )
-        nearest = static.query_nearest(positions[rows], k_eff + 1)
+        nearest = KDTreeIndex(positions).query_nearest(positions[rows], k_eff + 1)
         added_keys: Set[int] = set()
         for a_i, node in enumerate(aff.tolist()):
             row = nearest[a_i]
@@ -501,6 +496,6 @@ class KnnTopologyTracker:
         ids = self.index.ids()
         if len(ids) == 0:
             return len(self._edge_keys) == 0
-        compact_edges = knn_edges(self.index.positions(), self.k, backend=self.backend)
+        compact_edges = knn_edges(self.index.positions(), self.k)
         expected = _encode(ids[compact_edges]) if len(compact_edges) else _EMPTY_KEYS
         return np.array_equal(self._edge_keys, expected)

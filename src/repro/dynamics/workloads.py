@@ -49,11 +49,12 @@ from repro.dynamics.churn import CorrelatedOutage, LifetimeChurn, heterogeneous_
 from repro.dynamics.incremental import DynamicSpatialIndex
 from repro.dynamics.mobility import Drift, MobilityModel, RandomWalk, RandomWaypoint, reflect_into
 from repro.dynamics.topology import TopologyTracker
-from repro.geometry.index import build_index, within_ball
+from repro.geometry.index import within_ball
 from repro.geometry.poisson import poisson_points
 from repro.geometry.primitives import Rect
 from repro.graphs.base import GeometricGraph
 from repro.graphs.metrics import largest_component_fraction, shortest_path_euclidean
+from repro.graphs.udg import udg_edges
 from repro.runner.registry import register
 from repro.simulation.events import EventQueue
 from repro.simulation.sensing import coverage_fraction
@@ -561,7 +562,6 @@ def experiment_h01_heterogeneous(
     decay_spread: float = 0.5,
     n_steps: int = 20,
     dt: float = 1.0,
-    backend: str = "grid",
     seed: int = 303,
 ) -> ExperimentResult:
     """Heterogeneous radio ranges: bidirectional vs union connectivity under decay.
@@ -577,8 +577,6 @@ def experiment_h01_heterogeneous(
         heterogeneity (each node decays at ``decay_rate · U(1−s, 1+s)``).
     n_steps, dt:
         Timeline length and step size.
-    backend:
-        Spatial-index backend for the one-off candidate-pair enumeration.
     seed:
         Seed; deployment and radio draws use independent streams.
     """
@@ -611,7 +609,7 @@ def experiment_h01_heterogeneous(
     # Radii only shrink, so the initial maximum bounds every later link:
     # enumerate candidate pairs once and re-filter per step.
     r_max = float(radii.max())
-    pairs = build_index(pts, radius=r_max, backend=backend).query_pairs(r_max)
+    pairs = udg_edges(pts, r_max)
     diffs = pts[pairs[:, 0]] - pts[pairs[:, 1]] if len(pairs) else np.zeros((0, 2))
     dists = np.hypot(diffs[:, 0], diffs[:, 1])
 

@@ -11,9 +11,9 @@ constructions rest on:
   regions (discs, annuli, lenses, intersections of disc families).
 * :mod:`repro.geometry.integration` — numeric area computation for arbitrary
   predicates (uniform grid and Monte-Carlo estimators with error bounds).
-* :mod:`repro.geometry.index` — the pluggable :class:`SpatialIndex` backend
-  layer (vectorised uniform hash grid and cKDTree wrapper) answering
-  fixed-radius neighbour queries, in bulk, in (expected) linear time.
+* :mod:`repro.geometry.index` — the :class:`SpatialIndex` layer (vectorised
+  uniform hash grid and cKDTree wrapper) answering fixed-radius neighbour
+  queries, in bulk, in (expected) linear time.
 
 Everything here is deterministic given a :class:`numpy.random.Generator`
 seed; no global random state is used anywhere in the library.

@@ -1,26 +1,29 @@
-"""Pluggable spatial-index backends with vectorised bulk queries.
+"""Spatial-index backends with vectorised bulk queries.
 
 Every layer of the library ultimately reduces to fixed-radius neighbour
 queries over planar point sets: the UDG builder enumerates all pairs within
 the connection radius, the distributed simulator checks one-hop locality, the
 sensing model asks which sensors cover an event, and continuum percolation
 derives adjacency from the same closed ball.  This module gives those
-consumers one interface — :class:`SpatialIndex` — with two interchangeable
-backends:
+consumers one interface — :class:`SpatialIndex` — with two backends:
 
 * :class:`GridIndex` — a uniform spatial hash.  The cell table is built with
   one ``np.unique`` over packed integer cell keys (CSR-style: points sorted
   by cell plus start/count arrays), and :meth:`GridIndex.query_radius_many`
   answers *all* queries with one candidate gather and one exact-distance
   mask instead of a Python loop per query.
-* :class:`KDTreeIndex` — a thin wrapper over :class:`scipy.spatial.cKDTree`.
+* :class:`KDTreeIndex` — a thin wrapper over :class:`scipy.spatial.cKDTree`,
+  and the only backend with nearest-neighbour queries.
 
 Both backends implement the exact closed ball through one shared predicate,
 :func:`within_ball` (true Euclidean distance via ``np.hypot``, no tolerance;
 at ``radius == 0`` only exactly coincident points qualify) and return
-identical, deterministically ordered results, so consumers can switch
-backends without changing which graph they build.  :func:`build_index` is the
-factory the consumers go through.
+identical, deterministically ordered results, so either is the other's
+oracle.  Each consumer is fixed to the backend that measured faster for its
+query kind at every tested density (λ = 1.44, 3 and 20): ``query_pairs`` and
+``query_nearest`` (the UDG and kNN builders, continuum clusters, H01) use the
+k-d tree; ``neighbour_lists`` (the message network) uses the grid.
+:func:`build_index` remains the factory for code that compares the two.
 """
 
 from __future__ import annotations
@@ -167,10 +170,6 @@ class SpatialIndex(Protocol):
         """Neighbour array per stored point (self excluded unless requested)."""
         ...
 
-    def query_nearest(self, centers: np.ndarray, k: int) -> np.ndarray:
-        """Indices of the ``k`` nearest stored points per center, nearest first."""
-        ...
-
 
 def _strip_self(lists: List[np.ndarray], include_self: bool) -> List[np.ndarray]:
     if include_self:
@@ -179,7 +178,7 @@ def _strip_self(lists: List[np.ndarray], include_self: bool) -> List[np.ndarray]
 
 
 def _check_radius(radius: float) -> None:
-    if radius < 0:
+    if not radius >= 0:  # also rejects NaN
         raise ValueError("radius must be non-negative")
 
 
@@ -274,7 +273,7 @@ class GridIndex(_IndexBase):
         cell_size: float,
         chunk_size: int | None = DEFAULT_BULK_CHUNK_SIZE,
     ) -> None:
-        if cell_size <= 0:
+        if not cell_size > 0:  # also rejects NaN
             raise ValueError("cell_size must be positive")
         self.points = as_points(points)
         self.cell_size = float(cell_size)
@@ -289,14 +288,14 @@ class GridIndex(_IndexBase):
             if not np.isfinite(keys_f).all() or np.abs(keys_f).max() >= 2**62:
                 raise ValueError(
                     "point spread spans too many grid cells for this cell_size; "
-                    "use a larger cell_size or the 'kdtree' backend"
+                    "use a larger cell_size"
                 )
             keys = self._exact_keys(self.points, quot=quot)
             key_min, spans = pack_bounds(keys)
             if not spans_fit_packed(spans):
                 raise ValueError(
                     "point spread spans too many grid cells for this cell_size; "
-                    "use a larger cell_size or the 'kdtree' backend"
+                    "use a larger cell_size"
                 )
             # Stable sort inside CellTable keeps original index order per cell.
             self._table = CellTable.group_points(
@@ -327,11 +326,11 @@ class GridIndex(_IndexBase):
         The returned view answers *centers-in, candidates-out* queries only
         (``query_radius``, ``query_radius_many``, ``count_radius_many`` and
         the ``_matches`` engine underneath them, chunked like a static
-        build's).  Whole-index derived queries — ``query_pairs``,
-        ``neighbour_lists``, ``query_nearest`` — are undefined on an adopted
-        view: they would iterate the raw ``points`` buffer, whose dead/spare
-        rows are not part of the indexed set, and ``len`` counts those rows
-        too (the bulk queries use it only as an exclusive bound on ids).
+        build's).  Whole-index derived queries — ``query_pairs`` and
+        ``neighbour_lists`` — are undefined on an adopted view: they would
+        iterate the raw ``points`` buffer, whose dead/spare rows are not part
+        of the indexed set, and ``len`` counts those rows too (the bulk
+        queries use it only as an exclusive bound on ids).
         The dynamic layer exposes its own id-space versions of those
         surfaces instead.
 
@@ -676,99 +675,6 @@ class GridIndex(_IndexBase):
         """All pairs within ``radius`` (``i < j``, lexicographically ordered)."""
         return _pairs_from_lists(self.query_radius_many(self.points, radius))
 
-    # -- nearest-neighbour queries ---------------------------------------------
-    def _ring_cells(
-        self,
-        cx: int,
-        cy: int,
-        ring: int,
-        box_lo: Tuple[int, int],
-        box_hi: Tuple[int, int],
-    ) -> List[Tuple[int, int]]:
-        """Cells on the Chebyshev ring around ``(cx, cy)``, clipped to the
-        occupied bounding box (so far-away centers never walk empty rings)."""
-        if ring == 0:
-            if box_lo[0] <= cx <= box_hi[0] and box_lo[1] <= cy <= box_hi[1]:
-                return [(cx, cy)]
-            return []
-        cells: List[Tuple[int, int]] = []
-        xs = range(max(cx - ring, box_lo[0]), min(cx + ring, box_hi[0]) + 1)
-        for y in (cy - ring, cy + ring):
-            if box_lo[1] <= y <= box_hi[1]:
-                cells.extend((x, y) for x in xs)
-        ys = range(max(cy - ring + 1, box_lo[1]), min(cy + ring - 1, box_hi[1]) + 1)
-        for x in (cx - ring, cx + ring):
-            if box_lo[0] <= x <= box_hi[0]:
-                cells.extend((x, y) for y in ys)
-        return cells
-
-    def query_nearest(self, centers: np.ndarray, k: int) -> np.ndarray:
-        """Indices of the ``k`` nearest stored points per center (``(q, k)``).
-
-        Expanding-ring search: cells are scanned in growing Chebyshev rings
-        around each center's cell.  Any point in an unscanned ring ``ρ + 1``
-        lies strictly beyond ``ρ·cell_size``, so once the k-th candidate
-        distance drops to that bound the answer is complete; one extra guard
-        ring absorbs the half-ULP windows of the bound arithmetic.  Exact
-        distance ties are broken by ascending point index (deterministic —
-        :class:`KDTreeIndex` inherits scipy's unspecified tie order instead,
-        a measure-zero difference for continuous inputs).  As for the KD-tree
-        backend, fewer than ``k`` stored points return ``min(k, n)`` columns
-        and an empty index raises.
-        """
-        if k < 1:
-            raise ValueError("k must be positive")
-        centers = as_points(centers)
-        if len(self) == 0:
-            raise ValueError("cannot run nearest-neighbour queries on an empty index")
-        k_eff = min(k, len(self))
-        out = np.empty((len(centers), k_eff), dtype=np.int64)
-        box_lo = (int(self._key_min[0]), int(self._key_min[1]))
-        box_hi = (
-            int(self._key_min[0] + self._spans[0]) - 1,
-            int(self._key_min[1] + self._spans[1]) - 1,
-        )
-        keys = self._exact_keys(centers)
-        for row, center in enumerate(centers):
-            cx, cy = int(keys[row, 0]), int(keys[row, 1])
-            # Chebyshev distance from the center's cell to the occupied box:
-            # rings below it hold no cells, rings beyond `last` none either.
-            start = max(
-                0, box_lo[0] - cx, cx - box_hi[0], box_lo[1] - cy, cy - box_hi[1]
-            )
-            last = max(
-                abs(cx - box_lo[0]),
-                abs(cx - box_hi[0]),
-                abs(cy - box_lo[1]),
-                abs(cy - box_hi[1]),
-            )
-            parts: List[np.ndarray] = []
-            count = 0
-            ring = start
-            guard_scanned = False
-            while ring <= last:
-                for cell in self._ring_cells(cx, cy, ring, box_lo, box_hi):
-                    arr = self._cell_slice(*cell)
-                    if arr.size:
-                        parts.append(arr)
-                        count += arr.size
-                if guard_scanned:
-                    break
-                if count >= k_eff:
-                    cand = np.concatenate(parts)
-                    diff = self.points[cand] - center
-                    dists = np.hypot(diff[:, 0], diff[:, 1])
-                    kth = np.partition(dists, k_eff - 1)[k_eff - 1]
-                    if kth <= ring * self.cell_size:
-                        guard_scanned = True  # one more ring, then done
-                ring += 1
-            cand = np.concatenate(parts)
-            diff = self.points[cand] - center
-            dists = np.hypot(diff[:, 0], diff[:, 1])
-            order = np.lexsort((cand, dists))
-            out[row] = cand[order[:k_eff]]
-        return out
-
 
 class KDTreeIndex(_IndexBase):
     """:class:`scipy.spatial.cKDTree` behind the :class:`SpatialIndex` surface.
@@ -934,8 +840,10 @@ class KDTreeIndex(_IndexBase):
 
         Nearest first; when fewer than ``k`` points are stored the available
         columns are returned (callers pad).  Exact distance ties keep
-        scipy's unspecified order (:class:`GridIndex` breaks them by index
-        instead) — a measure-zero divergence for continuous inputs.
+        scipy's unspecified order — a measure-zero event for continuous
+        inputs.  Only this backend answers nearest-neighbour queries, and
+        the kNN builders call it directly: a grid expanding-ring search
+        measured 16× slower at ``k = 188``, ``n = 5127``.
         """
         if k < 1:
             raise ValueError("k must be positive")
@@ -955,7 +863,6 @@ def build_index(
     points: np.ndarray,
     radius: float | None = None,
     backend: str = "grid",
-    cell_size: float | None = None,
 ) -> SpatialIndex:
     """Build a :class:`SpatialIndex` over ``points``.
 
@@ -969,14 +876,12 @@ def build_index(
         the KD-tree backend ignores it.
     backend:
         ``"grid"`` or ``"kdtree"``.
-    cell_size:
-        Grid-only override of the cell size derived from ``radius``.
     """
+    if radius is not None and not radius >= 0:  # also rejects NaN
+        raise ValueError("radius must be non-negative")
     if backend == "kdtree":
         return KDTreeIndex(points)
     if backend == "grid":
-        size = cell_size if cell_size is not None else radius
-        if size is None or size <= 0:
-            size = 1.0  # radius-0 queries only match coincident points; any cell works
-        return GridIndex(points, cell_size=size)
+        # Radius-0 queries only match coincident points; any cell works.
+        return GridIndex(points, cell_size=radius or 1.0)
     raise ValueError(f"unknown spatial-index backend {backend!r}; known: {', '.join(BACKENDS)}")

@@ -2,48 +2,32 @@
 
 Each point establishes undirected edges to the ``k`` points nearest to it
 (Häggström–Meester model): the edge {x, y} exists when y is among x's k
-nearest *or* x is among y's k nearest.  Neighbour queries go through the
-:mod:`repro.geometry.index` backend layer — both backends now answer
-``query_nearest`` (the KD-tree natively, the grid via expanding-ring cell
-search), so the kNN builder is backend-pluggable like the UDG builder; ties
-(a measure-zero event for Poisson inputs) are broken by each backend's own
-rule, matching the paper's remark that any tie-breaking rule is acceptable.
+nearest *or* x is among y's k nearest.  Neighbour queries go to a
+:class:`~repro.geometry.index.KDTreeIndex` (``query_nearest``); ties (a
+measure-zero event for Poisson inputs) keep scipy's order, matching the
+paper's remark that any tie-breaking rule is acceptable.  The directed pairs
+are canonicalised by :func:`repro.kernels.ops.splice_edges`, the one place
+the sorted ``(lo, hi)`` edge format is produced.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.geometry.index import build_index
+from repro.geometry.index import KDTreeIndex
 from repro.geometry.primitives import as_points
 from repro.graphs.base import GeometricGraph
+from repro.kernels import ops as kernel_ops
 
 __all__ = ["knn_neighbour_indices", "knn_edges", "build_knn"]
 
 
-def _knn_cell_size(pts: np.ndarray, k: int) -> float:
-    """Grid cell size tuned to the expected kNN radius.
-
-    For roughly uniform density ``λ ≈ n / bbox_area`` the k-th neighbour sits
-    near ``sqrt((k + 1) / (π λ))``; a cell of that side keeps the expanding
-    ring search to a few rings.  Correctness never depends on this choice —
-    only ring count does — so degenerate bounding boxes just fall back to 1.
-    """
-    spans = pts.max(axis=0) - pts.min(axis=0)
-    area = float(spans[0] * spans[1])
-    if not np.isfinite(area) or area <= 0:
-        return 1.0
-    return float(np.sqrt((k + 1) * area / (np.pi * len(pts))))
-
-
-def knn_neighbour_indices(points: np.ndarray, k: int, backend: str = "kdtree") -> np.ndarray:
+def knn_neighbour_indices(points: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k nearest neighbours of every point.
 
     Returns an ``(n, k)`` integer array; row i lists the k nearest points to
     point i (excluding i itself), nearest first.  When fewer than k other
     points exist, the available neighbours are followed by ``-1`` padding.
-    ``backend`` picks the spatial index (``kdtree`` default; ``grid`` uses
-    the expanding-ring search with index-order tie-breaking).
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -54,9 +38,8 @@ def knn_neighbour_indices(points: np.ndarray, k: int, backend: str = "kdtree") -
     k_eff = min(k, n - 1)
     if k_eff == 0:
         return np.full((n, k), -1, dtype=np.int64)
-    index = build_index(pts, backend=backend, cell_size=_knn_cell_size(pts, k_eff))
     # Query k_eff + 1 because the nearest hit is the point itself.
-    idx = index.query_nearest(pts, k_eff + 1)
+    idx = KDTreeIndex(pts).query_nearest(pts, k_eff + 1)
     neighbours = np.full((n, k), -1, dtype=np.int64)
     for i in range(n):
         row = idx[i]
@@ -65,26 +48,20 @@ def knn_neighbour_indices(points: np.ndarray, k: int, backend: str = "kdtree") -
     return neighbours
 
 
-def knn_edges(points: np.ndarray, k: int, backend: str = "kdtree") -> np.ndarray:
+def knn_edges(points: np.ndarray, k: int) -> np.ndarray:
     """Undirected edge list of ``NN(2, k)`` on the given point set."""
     pts = as_points(points)
-    neighbours = knn_neighbour_indices(pts, k, backend=backend)
-    if neighbours.size == 0:
-        return np.zeros((0, 2), dtype=np.int64)
+    neighbours = knn_neighbour_indices(pts, k)
     sources = np.repeat(np.arange(len(pts), dtype=np.int64), neighbours.shape[1])
     targets = neighbours.ravel()
     valid = targets >= 0
     pairs = np.column_stack([sources[valid], targets[valid]])
-    if pairs.size == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    pairs = np.sort(pairs, axis=1)
-    return np.unique(pairs, axis=0)
+    pairs.sort(axis=1)
+    return kernel_ops.splice_edges([pairs])
 
 
-def build_knn(
-    points: np.ndarray, k: int, name: str | None = None, backend: str = "kdtree"
-) -> GeometricGraph:
+def build_knn(points: np.ndarray, k: int, name: str | None = None) -> GeometricGraph:
     """Build the undirected k-nearest-neighbour graph ``NN(2, k)``."""
     pts = as_points(points)
-    edges = knn_edges(pts, k, backend=backend)
+    edges = knn_edges(pts, k)
     return GeometricGraph(pts, edges, name=name or f"NN(k={k})")

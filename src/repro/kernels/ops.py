@@ -331,9 +331,12 @@ def _numpy_splice_edges(
     arrays = [a for a in arrays if len(a)]
     if not arrays:
         return np.zeros((0, 2), dtype=np.int64)
-    pooled = np.concatenate(arrays, axis=0)
+    # A lone fragment is read in place: concatenating it would only copy it
+    # (the gather below already writes a fresh array).
+    pooled = arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=0)
     order = np.lexsort((pooled[:, 1], pooled[:, 0]))
     pooled = pooled[order]
+    del order
     keep = np.empty(len(pooled), dtype=np.bool_)
     keep[0] = True
     np.any(pooled[1:] != pooled[:-1], axis=1, out=keep[1:])

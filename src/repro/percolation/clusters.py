@@ -8,8 +8,8 @@ instead of per-site Python loops.
 
 The same union–find also labels *continuum* clusters: given a planar point
 set, :func:`continuum_cluster_labels` derives the Gilbert-graph adjacency
-from one ``query_pairs`` call on a :mod:`repro.geometry.index` backend and
-unions the resulting pairs, which is how E11-style continuum-percolation
+from one ``query_pairs`` call on a :class:`~repro.geometry.index.KDTreeIndex`
+and unions the resulting pairs, which is how E11-style continuum-percolation
 questions reduce to the cluster machinery already used on Z².
 """
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.geometry.index import build_index
+from repro.geometry.index import KDTreeIndex
 from repro.geometry.primitives import as_points
 from repro.percolation.lattice import LatticeConfiguration
 
@@ -140,25 +140,25 @@ def label_clusters(config: LatticeConfiguration) -> np.ndarray:
     return labels
 
 
-def continuum_cluster_labels(
-    points: np.ndarray, radius: float, backend: str = "grid"
-) -> np.ndarray:
+def continuum_cluster_labels(points: np.ndarray, radius: float) -> np.ndarray:
     """Connected-component labels of the Gilbert (unit-disk) graph on ``points``.
 
-    Adjacency is derived from one :meth:`~repro.geometry.index.SpatialIndex.query_pairs`
+    Adjacency is derived from one :meth:`~repro.geometry.index.KDTreeIndex.query_pairs`
     call (exact closed ball, so boundary pairs at distance exactly ``radius``
-    are connected), and the pairs are fed to the same :class:`UnionFind` that
-    labels lattice clusters.  Returns one label per point, contiguous from 0
-    and ordered by first (index-order) appearance.
+    are connected, and at ``radius == 0`` coincident points merge — unlike
+    :func:`~repro.graphs.udg.udg_edges`, which is empty at radius 0), and the
+    pairs are fed to the same :class:`UnionFind` that labels lattice clusters.
+    Returns one label per point, contiguous from 0 and ordered by first
+    (index-order) appearance.
     """
-    if radius < 0:
+    if not radius >= 0:  # also rejects NaN
         raise ValueError("radius must be non-negative")
     pts = as_points(points)
     n = len(pts)
     if n == 0:
         return np.zeros(0, dtype=np.int64)
     uf = UnionFind(n)
-    pairs = build_index(pts, radius=radius, backend=backend).query_pairs(radius)
+    pairs = KDTreeIndex(pts).query_pairs(radius)
     if len(pairs):
         uf.union_pairs(pairs[:, 0], pairs[:, 1])
     roots = uf.find_many(np.arange(n))
@@ -166,11 +166,9 @@ def continuum_cluster_labels(
     return _order_by_first_appearance(compact)
 
 
-def continuum_largest_cluster_fraction(
-    points: np.ndarray, radius: float, backend: str = "grid"
-) -> float:
+def continuum_largest_cluster_fraction(points: np.ndarray, radius: float) -> float:
     """Fraction of points in the largest Gilbert-graph cluster (0.0 if empty)."""
-    labels = continuum_cluster_labels(points, radius, backend=backend)
+    labels = continuum_cluster_labels(points, radius)
     if labels.size == 0:
         return 0.0
     return float(np.bincount(labels).max()) / labels.size

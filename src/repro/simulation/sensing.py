@@ -38,7 +38,7 @@ def coverage_fraction(
     enumerating every sensor inside the ball; the grid backend answers with
     one bulk ``count_radius_many``.
     """
-    if sensing_radius <= 0:
+    if not sensing_radius > 0:  # also rejects NaN
         raise ValueError("sensing_radius must be positive")
     sensors = as_points(sensor_positions)
     evts = as_points(events)
@@ -77,7 +77,7 @@ class SensingField:
     sensing_radius: float
 
     def __post_init__(self) -> None:
-        if self.sensing_radius <= 0:
+        if not self.sensing_radius > 0:  # also rejects NaN
             raise ValueError("sensing_radius must be positive")
 
     def sample_events(self, n_events: int, rng: np.random.Generator) -> np.ndarray:
@@ -104,11 +104,10 @@ class SensingField:
         sensor_positions: np.ndarray,
         n_events: int,
         rng: np.random.Generator,
-        backend: str = "kdtree",
     ) -> float:
         """Monte-Carlo event-coverage fraction for a set of sensors."""
         events = self.sample_events(n_events, rng)
-        return coverage_fraction(sensor_positions, events, self.sensing_radius, backend=backend)
+        return coverage_fraction(sensor_positions, events, self.sensing_radius)
 
 
 @dataclass

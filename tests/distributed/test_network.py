@@ -5,6 +5,7 @@ import pytest
 
 from repro.distributed.messages import Message
 from repro.distributed.network import MessageNetwork
+from repro.geometry.index import BACKENDS, build_index
 
 
 class TestMessage:
@@ -76,10 +77,11 @@ class TestMessageNetwork:
     def test_index_backends_agree(self):
         rng = np.random.default_rng(3)
         pts = rng.uniform(0, 6, size=(40, 2))
-        grid_net = MessageNetwork(pts, radio_range=1.0, index_backend="grid")
-        tree_net = MessageNetwork(pts, radio_range=1.0, index_backend="kdtree")
-        for node in range(len(pts)):
-            assert np.array_equal(grid_net.neighbours_of(node), tree_net.neighbours_of(node))
+        net = MessageNetwork(pts, radio_range=1.0)
+        for backend in BACKENDS:
+            lists = build_index(pts, radius=1.0, backend=backend).neighbour_lists(1.0)
+            for node in range(len(pts)):
+                assert np.array_equal(net.neighbours_of(node), lists[node])
 
     def test_boundary_pair_can_message(self):
         # d == radio_range exactly: "is a neighbour" under the exact closed
@@ -200,11 +202,12 @@ class TestNeighbourTableCache:
         a = MessageNetwork(pts, radio_range=1.0)
         b = MessageNetwork(pts, radio_range=2.0)
         assert a._neighbours is not b._neighbours
-        c = MessageNetwork(pts, radio_range=1.0, index_backend="kdtree")
-        assert a._neighbours is not c._neighbours
-        # Contents still agree backend-to-backend.
-        for x, y in zip(a._neighbours, c._neighbours):
-            assert np.array_equal(x, y)
+        # Each entry holds its own radius's table, equal to every backend's.
+        for net, radius in ((a, 1.0), (b, 2.0)):
+            for backend in BACKENDS:
+                lists = build_index(pts, radius=radius, backend=backend).neighbour_lists(radius)
+                for x, y in zip(net._neighbours, lists):
+                    assert np.array_equal(x, y)
 
     def test_equal_but_distinct_array_misses_without_stale_answers(self, rng):
         pts = rng.uniform(0, 4, size=(20, 2))

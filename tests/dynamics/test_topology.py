@@ -10,7 +10,7 @@ import pytest
 from repro.dynamics import topology
 from repro.dynamics.incremental import DynamicSpatialIndex
 from repro.dynamics.topology import EdgeDiff, KnnTopologyTracker, TopologyTracker
-from repro.geometry.index import BACKENDS
+from repro.geometry.index import BACKENDS, build_index
 from repro.graphs.knn import knn_edges
 from repro.graphs.udg import udg_edges
 
@@ -26,6 +26,25 @@ def _apply(diff: EdgeDiff, edges: set) -> set:
     return out
 
 
+def _udg_pairs(pts: np.ndarray, backend: str) -> np.ndarray:
+    return build_index(pts, radius=RADIUS, backend=backend).query_pairs(RADIUS)
+
+
+def _knn_edge_set(pts: np.ndarray, k: int, backend: str) -> set:
+    """kNN edges from radius queries: point i's k nearest are the other
+    points in the closed ball reaching its k-th nearest (no ties in random
+    data), so any radius-query backend is a kNN oracle."""
+    dists = np.hypot(*(pts[:, None, :] - pts[None, :, :]).transpose(2, 0, 1))
+    kth = np.sort(dists, axis=1)[:, min(k, len(pts) - 1)]
+    index = build_index(pts, radius=1.0, backend=backend)
+    return {
+        (min(i, j), max(i, j))
+        for i in range(len(pts))
+        for j in index.query_radius(pts[i], kth[i]).tolist()
+        if j != i
+    }
+
+
 class TestTopologyTracker:
     @pytest.mark.parametrize("oracle", BACKENDS)
     def test_diffs_replay_to_full_recompute(self, oracle, rng):
@@ -34,7 +53,7 @@ class TestTopologyTracker:
         dyn = DynamicSpatialIndex(pts, radius=RADIUS)
         tracker = TopologyTracker(dyn, RADIUS)
         replayed = _edge_set(tracker.edges())
-        assert replayed == _edge_set(udg_edges(pts, RADIUS, backend=oracle))
+        assert replayed == _edge_set(_udg_pairs(pts, oracle))
         for step in range(10):
             ids = dyn.ids()
             movers = rng.choice(ids, size=min(15, len(ids)), replace=False)
@@ -53,7 +72,7 @@ class TestTopologyTracker:
             ids = dyn.ids()
             expected = {
                 (int(ids[a]), int(ids[b]))
-                for a, b in udg_edges(dyn.positions(), RADIUS, backend=oracle)
+                for a, b in _udg_pairs(dyn.positions(), oracle)
             }
             assert replayed == expected
 
@@ -224,11 +243,12 @@ class TestKnnTopologyTracker:
 class TestKnnIncrementalRepair:
     """The kNN-radius locality bound: repair only the affected nodes."""
 
-    @pytest.mark.parametrize("backend", ["kdtree", "grid"])
-    def test_sparse_updates_match_recompute(self, backend, rng):
+    @pytest.mark.parametrize("oracle", BACKENDS)
+    def test_sparse_updates_match_recompute(self, oracle, rng):
+        # The recompute runs on each static backend (grid or cKDTree).
         pts = rng.uniform(0, 10, size=(120, 2))
         dyn = DynamicSpatialIndex(pts, radius=1.0)
-        tracker = KnnTopologyTracker(dyn, k=4, backend=backend)
+        tracker = KnnTopologyTracker(dyn, k=4)
         replayed = _edge_set(tracker.edges())
         for step in range(12):
             ids = dyn.ids()
@@ -243,6 +263,12 @@ class TestKnnIncrementalRepair:
             replayed = _apply(tracker.update(), replayed)
             assert replayed == _edge_set(tracker.edges())
             assert tracker.matches_recompute()
+            ids = dyn.ids()
+            expected = {
+                (int(ids[a]), int(ids[b]))
+                for a, b in _knn_edge_set(dyn.positions(), 4, oracle)
+            }
+            assert replayed == expected
         assert tracker.full_recomputes == 0
         assert tracker.repaired_nodes < 12 * len(pts)  # strictly less than recompute
 

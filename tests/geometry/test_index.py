@@ -2,9 +2,9 @@
 
 The contract under test: `GridIndex` and `KDTreeIndex` implement the *same*
 exact closed-ball semantics and return *identical, identically ordered*
-results for every query method, including boundary-distance pairs and
-radius 0 — so every consumer can switch backends without changing which
-graph it builds.
+results for every radius query method, including boundary-distance pairs
+and radius 0 — so each is the other's oracle.  Nearest-neighbour queries
+are the k-d tree's alone and are checked against brute force.
 """
 
 from hypothesis import given, settings
@@ -212,7 +212,7 @@ class TestGridInternals:
         pts = np.array([[1e6, 0.0], [1e6, 0.0]])
         with pytest.raises(ValueError, match="too many grid cells"):
             GridIndex(pts, cell_size=1e-13)
-        # The kdtree backend recommended by the error message handles it.
+        # The k-d tree has no cell keys to overflow.
         assert KDTreeIndex(pts).query_radius((1e6, 0.0), 1e-13).tolist() == [0, 1]
 
     def test_extreme_spread_overflow_matches_grid(self):
@@ -292,74 +292,55 @@ class TestGridInternals:
 
 
 class TestQueryNearest:
+    """Nearest-neighbour queries live on the k-d tree alone."""
+
     def test_backends_agree_with_brute_force(self, rng):
         pts = rng.uniform(0, 10, size=(200, 2))
         centers = rng.uniform(-3, 13, size=(60, 2))  # includes off-grid centers
-        grid = GridIndex(pts, cell_size=0.7)
         tree = KDTreeIndex(pts)
         for k in (1, 3, 10, 200, 350):
-            got_grid = grid.query_nearest(centers, k)
-            got_tree = tree.query_nearest(centers, k)
-            assert got_grid.shape == got_tree.shape == (60, min(k, 200))
-            assert np.array_equal(got_grid, got_tree)
+            got = tree.query_nearest(centers, k)
+            assert got.shape == (60, min(k, 200))
             for row, center in enumerate(centers):
                 diff = pts - center
                 dists = np.hypot(diff[:, 0], diff[:, 1])
                 expected = np.lexsort((np.arange(len(pts)), dists))[: min(k, 200)]
-                assert np.array_equal(got_grid[row], expected)
-
-    def test_grid_cell_size_does_not_change_the_answer(self, rng):
-        pts = rng.uniform(0, 5, size=(50, 2))
-        centers = rng.uniform(0, 5, size=(10, 2))
-        reference = GridIndex(pts, cell_size=1.0).query_nearest(centers, 4)
-        for cell_size in (0.1, 0.37, 2.5, 50.0):
-            assert np.array_equal(
-                GridIndex(pts, cell_size=cell_size).query_nearest(centers, 4), reference
-            )
-
-    def test_grid_breaks_exact_ties_by_index(self):
-        # Four points at distance exactly 1 from the center: the grid backend
-        # promises ascending-index order among equidistant points.
-        pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [3.0, 3.0]])
-        grid = GridIndex(pts, cell_size=1.0)
-        assert grid.query_nearest(np.array([[0.0, 0.0]]), 4).tolist() == [[0, 1, 2, 3]]
+                assert np.array_equal(got[row], expected)
 
     def test_k_larger_than_population_returns_all_columns(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0]])
-        for backend in BACKENDS:
-            index = build_index(pts, radius=1.0, backend=backend)
-            assert index.query_nearest(np.array([[0.2, 0.0]]), 5).tolist() == [[0, 1]]
+        assert KDTreeIndex(pts).query_nearest(np.array([[0.2, 0.0]]), 5).tolist() == [[0, 1]]
 
     def test_far_away_center_terminates_and_is_correct(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]])
-        grid = GridIndex(pts, cell_size=0.5)
-        tree = KDTreeIndex(pts)
         center = np.array([[5000.0, -4000.0]])
-        assert np.array_equal(grid.query_nearest(center, 2), tree.query_nearest(center, 2))
-
-    def test_single_point_and_coincident_points(self):
-        grid = GridIndex(np.array([[2.0, 2.0]]), cell_size=1.0)
-        assert grid.query_nearest(np.array([[2.0, 2.0]]), 1).tolist() == [[0]]
-        coincident = GridIndex(np.array([[1.0, 1.0], [1.0, 1.0]]), cell_size=1.0)
-        assert coincident.query_nearest(np.array([[1.0, 1.0]]), 2).tolist() == [[0, 1]]
+        expected = np.argsort(np.hypot(*(pts - center).T))[:2]
+        assert KDTreeIndex(pts).query_nearest(center, 2).tolist() == [expected.tolist()]
 
     def test_empty_index_and_bad_k_raise(self):
-        for backend in BACKENDS:
-            empty = build_index(np.zeros((0, 2)), radius=1.0, backend=backend)
-            with pytest.raises(ValueError):
-                empty.query_nearest(np.array([[0.0, 0.0]]), 1)
-            index = build_index(np.zeros((2, 2)), radius=1.0, backend=backend)
-            with pytest.raises(ValueError):
-                index.query_nearest(np.array([[0.0, 0.0]]), 0)
+        with pytest.raises(ValueError):
+            KDTreeIndex(np.zeros((0, 2))).query_nearest(np.array([[0.0, 0.0]]), 1)
+        with pytest.raises(ValueError):
+            KDTreeIndex(np.zeros((2, 2))).query_nearest(np.array([[0.0, 0.0]]), 0)
+        assert not hasattr(GridIndex(np.zeros((2, 2)), cell_size=1.0), "query_nearest")
 
-    def test_knn_graph_builders_accept_both_backends(self, rng):
+    def test_knn_builders_match_radius_queries_on_every_backend(self, rng):
         from repro.graphs.knn import knn_edges, knn_neighbour_indices
 
+        # Each point's k nearest are exactly the other points inside the
+        # closed ball reaching its k-th neighbour (no ties in random data),
+        # so every radius-query backend is an oracle for the kNN builders.
         pts = rng.uniform(0, 6, size=(70, 2))
-        assert np.array_equal(
-            knn_neighbour_indices(pts, 4), knn_neighbour_indices(pts, 4, backend="grid")
-        )
-        assert np.array_equal(knn_edges(pts, 4), knn_edges(pts, 4, backend="grid"))
+        k = 4
+        rows = knn_neighbour_indices(pts, k)
+        kth = np.hypot(*(pts[rows[:, -1]] - pts).T)
+        for backend in BACKENDS:
+            index = build_index(pts, radius=1.0, backend=backend)
+            balls = [index.query_radius(pts[i], kth[i]) for i in range(len(pts))]
+            for i, ball in enumerate(balls):
+                assert sorted(rows[i].tolist()) == [j for j in ball.tolist() if j != i]
+            pairs = {(min(i, j), max(i, j)) for i, ball in enumerate(balls) for j in ball if j != i}
+            assert knn_edges(pts, k).tolist() == sorted(map(list, pairs))
 
 
 class TestFactory:
@@ -372,10 +353,38 @@ class TestFactory:
     def test_grid_cell_size_defaults(self):
         pts = np.array([[0.0, 0.0], [2.0, 0.0]])
         assert build_index(pts, radius=2.5).cell_size == 2.5
-        assert build_index(pts, radius=2.5, cell_size=0.5).cell_size == 0.5
         # Radius 0 (or None) still builds a usable grid.
         assert build_index(pts, radius=0.0).query_radius((0, 0), 0.0).tolist() == [0]
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown spatial-index backend"):
             build_index(np.zeros((1, 2)), radius=1.0, backend="rtree")
+
+
+def test_nan_radius_rejected_by_every_consumer():
+    # NaN fails every `<` / `<=` comparison, so `radius < 0` checks let it
+    # through: the UDG and the tracked UDG came back silently empty, coverage
+    # read 0.0 and the grid paths blamed the point spread.  Each consumer
+    # must refuse it.
+    from repro.distributed.network import MessageNetwork
+    from repro.dynamics.incremental import DynamicSpatialIndex
+    from repro.dynamics.topology import TopologyTracker
+    from repro.graphs.udg import udg_edges
+    from repro.percolation.clusters import continuum_cluster_labels
+    from repro.simulation.sensing import coverage_fraction
+
+    pts = np.array([[0.0, 0.0], [0.5, 0.0], [3.0, 3.0]])
+    nan = float("nan")
+    calls = [
+        lambda: udg_edges(pts, nan),
+        lambda: continuum_cluster_labels(pts, nan),
+        lambda: MessageNetwork(pts, radio_range=nan),
+        lambda: TopologyTracker(DynamicSpatialIndex(pts, radius=1.0), nan),
+        lambda: DynamicSpatialIndex(pts, radius=nan),
+        lambda: GridIndex(pts, cell_size=nan),
+    ]
+    calls += [lambda b=b: coverage_fraction(pts, pts, nan, backend=b) for b in BACKENDS]
+    calls += [lambda b=b: build_index(pts, radius=nan, backend=b) for b in BACKENDS]
+    for call in calls:
+        with pytest.raises(ValueError, match="must be"):
+            call()

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.geometry.index import BACKENDS, build_index
 from repro.percolation.clusters import (
+    UnionFind,
     continuum_cluster_labels,
     continuum_largest_cluster_fraction,
 )
@@ -27,11 +29,17 @@ class TestContinuumClusterLabels:
         assert labels[0] == labels[1] != labels[2]
 
     def test_backends_agree(self):
+        # The labels equal a union-find over every backend's pairs.
         rng = np.random.default_rng(5)
         pts = rng.uniform(0, 12, size=(150, 2))
-        grid = continuum_cluster_labels(pts, radius=1.0, backend="grid")
-        tree = continuum_cluster_labels(pts, radius=1.0, backend="kdtree")
-        assert np.array_equal(grid, tree)
+        labels = continuum_cluster_labels(pts, radius=1.0)
+        for backend in BACKENDS:
+            uf = UnionFind(len(pts))
+            pairs = build_index(pts, radius=1.0, backend=backend).query_pairs(1.0)
+            uf.union_pairs(pairs[:, 0], pairs[:, 1])
+            roots = uf.find_many(np.arange(len(pts)))
+            same = roots[:, None] == roots[None, :]
+            assert np.array_equal(same, labels[:, None] == labels[None, :])
 
     def test_empty_and_negative_inputs(self):
         assert continuum_cluster_labels(np.zeros((0, 2)), 1.0).size == 0
